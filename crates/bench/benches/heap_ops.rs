@@ -1,10 +1,14 @@
-//! Microbenchmarks of the heap substrate: classic binary heap vs the shared
-//! dual-heap array used by 2WRS (Chapter 3.1 / §4.1 structures).
+//! Microbenchmarks of the heap substrate: classic binary heap vs the
+//! shared-capacity dual heap used by 2WRS (Chapter 3.1 / §4.1 structures),
+//! plus the two selection loops' steady states on full-size records.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use twrs_heaps::{BinaryHeap, DualHeap, HeapKind, HeapSide};
+use twrs_heaps::{BinaryHeap, DualHeap, HeapSide, MinOrder, RunMaxOrder, RunRecord};
+use twrs_workloads::{Distribution, DistributionKind, Record};
 
 const OPS: u64 = 10_000;
+/// The memory budget of the selection-bound benchmark workload (1% of 2M).
+const SELECTION_MEMORY: usize = 20_000;
 
 fn bench_heaps(c: &mut Criterion) {
     let mut group = c.benchmark_group("heap_operations");
@@ -12,7 +16,7 @@ fn bench_heaps(c: &mut Criterion) {
 
     group.bench_function("binary_heap_push_pop", |b| {
         b.iter(|| {
-            let mut heap = BinaryHeap::with_capacity(HeapKind::Min, OPS as usize);
+            let mut heap = BinaryHeap::with_capacity(MinOrder, OPS as usize);
             for i in 0..OPS {
                 heap.push(i.wrapping_mul(2_654_435_761) % 1_000_000)
                     .unwrap();
@@ -27,10 +31,8 @@ fn bench_heaps(c: &mut Criterion) {
 
     group.bench_function("binary_heap_replace_top", |b| {
         b.iter(|| {
-            let mut heap = BinaryHeap::from_vec(
-                HeapKind::Min,
-                (0..1_000u64).map(|i| i * 7 % 1_000).collect(),
-            );
+            let mut heap =
+                BinaryHeap::from_vec(MinOrder, (0..1_000u64).map(|i| i * 7 % 1_000).collect());
             let mut out = 0u64;
             for i in 0..OPS {
                 out = out.wrapping_add(
@@ -68,5 +70,71 @@ fn bench_heaps(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_heaps);
+/// The selection loops' steady states over `RunRecord<Record>`s: RS's
+/// peek → `replace_top`, and 2WRS's pop from one side followed by a push
+/// to either side.
+fn bench_selection_loops(c: &mut Criterion) {
+    let input = Distribution::new(
+        DistributionKind::RandomUniform,
+        (SELECTION_MEMORY as u64) + OPS,
+        1,
+    )
+    .collect();
+    let (fill, stream) = input.split_at(SELECTION_MEMORY);
+    let mut group = c.benchmark_group("selection_loops");
+    group.throughput(Throughput::Elements(OPS));
+
+    group.bench_function("rs_replace_top_20k_run_records", |b| {
+        b.iter(|| {
+            let mut heap = BinaryHeap::from_vec(
+                MinOrder,
+                fill.iter().map(|r| RunRecord::new(*r, 0)).collect(),
+            );
+            let mut out = 0u64;
+            for next in stream {
+                let Some(top) = heap.peek() else { break };
+                out = out.wrapping_add(top.value.key);
+                let run = top.run + u64::from(*next < top.value);
+                heap.replace_top(RunRecord::new(*next, run));
+            }
+            out
+        })
+    });
+
+    group.bench_function("twrs_dual_heap_churn_20k_run_records", |b| {
+        b.iter(|| {
+            let mut dual: DualHeap<RunRecord<Record>, MinOrder, RunMaxOrder> =
+                DualHeap::with_orders(SELECTION_MEMORY, MinOrder, RunMaxOrder);
+            for (i, r) in fill.iter().enumerate() {
+                let side = if i % 2 == 0 {
+                    HeapSide::Top
+                } else {
+                    HeapSide::Bottom
+                };
+                dual.push(side, RunRecord::new(*r, 0)).unwrap();
+            }
+            let mut out = 0u64;
+            for (i, next) in stream.iter().enumerate() {
+                let from = if i % 2 == 0 {
+                    HeapSide::Top
+                } else {
+                    HeapSide::Bottom
+                };
+                let popped = dual.pop(from).expect("both sides stay non-empty");
+                out = out.wrapping_add(popped.value.key);
+                let to = if next.key & 1 == 0 {
+                    HeapSide::Top
+                } else {
+                    HeapSide::Bottom
+                };
+                dual.push(to, RunRecord::new(*next, 0)).unwrap();
+            }
+            out
+        })
+    });
+
+    group.finish();
+}
+
+criterion_group!(benches, bench_heaps, bench_selection_loops);
 criterion_main!(benches);

@@ -9,7 +9,7 @@ use twrs_core::{BufferSetup, TwoWayReplacementSelection, TwrsConfig};
 use twrs_extsort::{
     ForwardRunBuilder, LoadSortStore, ReplacementSelection, RunGenerator, RunHandle, RunSet,
 };
-use twrs_heaps::{BinaryHeap, HeapKind, RunRecord};
+use twrs_heaps::{BinaryHeap, MinOrder, RunRecord};
 use twrs_storage::ModelId;
 use twrs_storage::{SimDevice, SpillNamer};
 use twrs_workloads::{Distribution, DistributionKind, Record};
@@ -54,11 +54,11 @@ fn bench_run_generation(c: &mut Criterion) {
     group.finish();
 }
 
-/// Replacement selection exactly as it was written before the generic
-/// redesign: hard-coded to the concrete `Record` type, no `SortableRecord`
-/// indirection anywhere. Kept verbatim (modulo the builder's new type
-/// parameter) as the baseline the monomorphized generic path is pinned
-/// against — if monomorphization ever stopped compiling down to this, the
+/// Replacement selection hard-coded to the concrete `Record` type, with no
+/// `SortableRecord` indirection anywhere: the same peek → write →
+/// `replace_top` loop as the generic `ReplacementSelection`, so the pin
+/// compares one algorithm under two instantiations. If monomorphization
+/// ever stopped compiling the generic path down to this, the
 /// `run_generation_generic_pin` group would show the gap.
 fn concrete_rs_generate(
     memory_records: usize,
@@ -66,36 +66,36 @@ fn concrete_rs_generate(
     namer: &SpillNamer,
     input: &mut dyn Iterator<Item = Record>,
 ) -> RunSet {
-    let mut heap: BinaryHeap<RunRecord<Record>> =
-        BinaryHeap::with_capacity(HeapKind::Min, memory_records);
-    while heap.len() < memory_records {
-        match input.next() {
-            Some(record) => heap
-                .push(RunRecord::new(record, 0))
-                .expect("heap cannot be full during the fill phase"),
-            None => break,
-        }
-    }
+    let mut initial: Vec<RunRecord<Record>> = Vec::with_capacity(memory_records);
+    initial.extend(
+        (&mut *input)
+            .take(memory_records)
+            .map(|record| RunRecord::new(record, 0)),
+    );
+    let mut heap = BinaryHeap::from_vec(MinOrder, initial);
     let mut runs: Vec<RunHandle> = Vec::new();
     let mut total = 0u64;
     let mut current_run = 0u64;
     let mut builder = ForwardRunBuilder::new(device, namer);
-    while let Some(top) = heap.pop() {
+    while let Some(top) = heap.peek() {
         if top.run > current_run {
             total += builder.finish_run(&mut runs).expect("finish run");
             builder = ForwardRunBuilder::new(device, namer);
             current_run = top.run;
         }
-        let output = top.value;
-        builder.push(&output).expect("push record");
-        if let Some(next) = input.next() {
-            let run = if next < output {
-                current_run + 1
-            } else {
-                current_run
-            };
-            heap.push(RunRecord::new(next, run))
-                .expect("a slot was just freed by pop");
+        builder.push(&top.value).expect("push record");
+        match input.next() {
+            Some(next) => {
+                let run = if next < top.value {
+                    current_run + 1
+                } else {
+                    current_run
+                };
+                heap.replace_top(RunRecord::new(next, run));
+            }
+            None => {
+                heap.pop();
+            }
         }
     }
     total += builder.finish_run(&mut runs).expect("finish run");
@@ -116,7 +116,7 @@ fn bench_generic_pin(c: &mut Criterion) {
     group.bench_function("rs_generic_record", |b| {
         b.iter(|| generate(ReplacementSelection::new(MEMORY)))
     });
-    group.bench_function("rs_concrete_record_pre_redesign", |b| {
+    group.bench_function("rs_concrete_record", |b| {
         b.iter(|| {
             let device = SimDevice::with_model(ModelId::Hdd7200);
             let namer = SpillNamer::new("bench");

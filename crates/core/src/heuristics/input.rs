@@ -1,6 +1,6 @@
 //! Input heuristics: which heap receives a record that fits both (§4.2).
 
-use super::HeuristicContext;
+use super::{ContextNeeds, HeuristicContext};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use twrs_heaps::HeapSide;
@@ -48,6 +48,16 @@ impl InputHeuristic {
             InputHeuristic::Median => "median",
             InputHeuristic::Useful => "useful",
             InputHeuristic::Balancing => "balancing",
+        }
+    }
+
+    /// The context fields this heuristic reads.
+    pub fn needs(self) -> ContextNeeds {
+        ContextNeeds {
+            sizes: matches!(self, InputHeuristic::Useful | InputHeuristic::Balancing),
+            input_mean: self == InputHeuristic::Mean,
+            input_median: self == InputHeuristic::Median,
+            keys: false,
         }
     }
 }

@@ -36,6 +36,22 @@ pub struct HeuristicContext {
     pub bottom_root: Option<u64>,
 }
 
+/// The parts of a [`HeuristicContext`] a heuristic reads. The algorithm
+/// fills only these, so a heuristic that reads nothing (Random, Alternate)
+/// costs no context at all on the per-record path.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ContextNeeds {
+    /// Heap sizes and pop counts (the Useful and Balancing heuristics).
+    pub sizes: bool,
+    /// The input buffer's mean key (the Mean input heuristic).
+    pub input_mean: bool,
+    /// The input buffer's median key (the Median input heuristic).
+    pub input_median: bool,
+    /// The run's first output key and both heap roots (the MinDistance
+    /// output heuristic).
+    pub keys: bool,
+}
+
 impl HeuristicContext {
     /// Usefulness of the TopHeap: records it emitted divided by its size
     /// (the measure defined in §4.2 for the *Useful* heuristics).

@@ -1,6 +1,6 @@
 //! Output heuristics: which heap emits the next record when both can (§4.2).
 
-use super::HeuristicContext;
+use super::{ContextNeeds, HeuristicContext};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use twrs_heaps::HeapSide;
@@ -42,6 +42,16 @@ impl OutputHeuristic {
             OutputHeuristic::Useful => "useful",
             OutputHeuristic::Balancing => "balancing",
             OutputHeuristic::MinDistance => "min-distance",
+        }
+    }
+
+    /// The context fields this heuristic reads.
+    pub fn needs(self) -> ContextNeeds {
+        ContextNeeds {
+            sizes: matches!(self, OutputHeuristic::Useful | OutputHeuristic::Balancing),
+            input_mean: false,
+            input_median: false,
+            keys: self == OutputHeuristic::MinDistance,
         }
     }
 }

@@ -6,7 +6,7 @@
 //! already-sorted inputs but collapses to memory-sized runs on
 //! reverse-sorted or mixed inputs. 2WRS generalises it with:
 //!
-//! * **two heaps** sharing one fixed array (a min *TopHeap* feeding an
+//! * **two heaps** sharing one fixed capacity (a min *TopHeap* feeding an
 //!   increasing stream and a max *BottomHeap* feeding a decreasing stream),
 //!   so ascending and descending trends in the input are both captured;
 //! * an **input buffer** — a FIFO sample of the upcoming input used by the

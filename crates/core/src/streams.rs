@@ -20,8 +20,15 @@
 //! record that would violate it is simply not accepted, and the caller
 //! defers it to the next run (the same mechanism replacement selection
 //! already uses for records that arrive too late).
+//!
+//! Streams 1 and 4 grow the run outwards, so the only boundaries that
+//! matter are the largest and the smallest record the run holds so far:
+//! stream 1 accepts a record no smaller than the largest, stream 4 one no
+//! larger than the smallest. Both are kept up to date on every write, so
+//! each acceptance check is a single comparison.
 
 use twrs_extsort::{Device, ForwardRunBuilder, Result, ReverseRunBuilder, RunHandle};
+use twrs_heaps::HeapSide;
 use twrs_storage::{SortableRecord, SpillNamer};
 
 /// The four output streams of the run currently being generated.
@@ -31,18 +38,11 @@ pub struct RunStreams<'a, D: Device, R: SortableRecord> {
     stream3: ForwardRunBuilder<'a, D, R>,
     stream4: ReverseRunBuilder<'a, D, R>,
 
-    /// First and last record written to stream 1 (increasing).
-    s1_first: Option<R>,
-    s1_last: Option<R>,
-    /// First and last record written to stream 2 (decreasing).
-    s2_first: Option<R>,
-    s2_last: Option<R>,
-    /// First and last record written to stream 3 (increasing).
-    s3_first: Option<R>,
-    s3_last: Option<R>,
-    /// First and last record written to stream 4 (decreasing).
-    s4_first: Option<R>,
-    s4_last: Option<R>,
+    /// First record written to each stream (1, 2, 3, 4).
+    firsts: [Option<R>; 4],
+    /// Smallest and largest record written to the run so far.
+    min: Option<R>,
+    max: Option<R>,
 
     records: u64,
 }
@@ -55,14 +55,9 @@ impl<'a, D: Device, R: SortableRecord> RunStreams<'a, D, R> {
             stream2: ReverseRunBuilder::new(device, namer, reverse_pages_per_file),
             stream3: ForwardRunBuilder::new(device, namer),
             stream4: ReverseRunBuilder::new(device, namer, reverse_pages_per_file),
-            s1_first: None,
-            s1_last: None,
-            s2_first: None,
-            s2_last: None,
-            s3_first: None,
-            s3_last: None,
-            s4_first: None,
-            s4_last: None,
+            firsts: [None, None, None, None],
+            min: None,
+            max: None,
             records: 0,
         }
     }
@@ -72,45 +67,61 @@ impl<'a, D: Device, R: SortableRecord> RunStreams<'a, D, R> {
         self.records
     }
 
-    /// The largest record that the "lower side" of the run (streams 4, 3
-    /// and 2) has committed to; stream 1 may only accept records ≥ this.
-    fn upper_floor(&self) -> Option<&R> {
-        [&self.s4_first, &self.s3_last, &self.s2_first, &self.s1_last]
-            .into_iter()
-            .filter_map(Option::as_ref)
-            .max()
-    }
-
-    /// The smallest record that the "upper side" of the run (streams 3, 2
-    /// and 1) has committed to; stream 4 may only accept records ≤ this.
-    fn lower_cap(&self) -> Option<&R> {
-        [&self.s3_first, &self.s2_last, &self.s1_first, &self.s4_last]
-            .into_iter()
-            .filter_map(Option::as_ref)
-            .min()
-    }
-
     /// `true` when `record` can be appended to stream 1 without breaking
-    /// either its monotonicity or the cross-stream ordering.
+    /// either its monotonicity or the cross-stream ordering: it must be no
+    /// smaller than anything the run holds.
+    #[inline]
     pub fn accepts_stream1(&self, record: &R) -> bool {
-        self.upper_floor().is_none_or(|floor| record >= floor)
+        self.max.as_ref().is_none_or(|max| record >= max)
     }
 
     /// `true` when `record` can be appended to stream 4 without breaking
-    /// either its monotonicity or the cross-stream ordering.
+    /// either its monotonicity or the cross-stream ordering: it must be no
+    /// larger than anything the run holds.
+    #[inline]
     pub fn accepts_stream4(&self, record: &R) -> bool {
-        self.lower_cap().is_none_or(|cap| record <= cap)
+        self.min.as_ref().is_none_or(|min| record <= min)
+    }
+
+    /// `true` when `record` can extend the stream fed by `side`'s heap:
+    /// stream 1 for the TopHeap, stream 4 for the BottomHeap.
+    #[inline]
+    pub fn accepts_heap(&self, side: HeapSide, record: &R) -> bool {
+        match side {
+            HeapSide::Top => self.accepts_stream1(record),
+            HeapSide::Bottom => self.accepts_stream4(record),
+        }
+    }
+
+    /// Appends a record to the stream fed by `side`'s heap.
+    pub fn push_heap(&mut self, side: HeapSide, record: R) -> Result<()> {
+        match side {
+            HeapSide::Top => self.push_stream1(record),
+            HeapSide::Bottom => self.push_stream4(record),
+        }
+    }
+
+    /// Books a record written to stream `stream` (1–4).
+    #[inline]
+    fn note(&mut self, stream: usize, record: &R) {
+        let first = &mut self.firsts[stream - 1];
+        if first.is_none() {
+            *first = Some(record.clone());
+        }
+        if self.min.as_ref().is_none_or(|min| record < min) {
+            self.min = Some(record.clone());
+        }
+        if self.max.as_ref().is_none_or(|max| record > max) {
+            self.max = Some(record.clone());
+        }
+        self.records += 1;
     }
 
     /// Appends a record to stream 1 (the TopHeap's increasing stream).
     pub fn push_stream1(&mut self, record: R) -> Result<()> {
         debug_assert!(self.accepts_stream1(&record));
         self.stream1.push(&record)?;
-        if self.s1_first.is_none() {
-            self.s1_first = Some(record.clone());
-        }
-        self.s1_last = Some(record);
-        self.records += 1;
+        self.note(1, &record);
         Ok(())
     }
 
@@ -118,11 +129,7 @@ impl<'a, D: Device, R: SortableRecord> RunStreams<'a, D, R> {
     pub fn push_stream4(&mut self, record: R) -> Result<()> {
         debug_assert!(self.accepts_stream4(&record));
         self.stream4.push(&record)?;
-        if self.s4_first.is_none() {
-            self.s4_first = Some(record.clone());
-        }
-        self.s4_last = Some(record);
-        self.records += 1;
+        self.note(4, &record);
         Ok(())
     }
 
@@ -131,14 +138,10 @@ impl<'a, D: Device, R: SortableRecord> RunStreams<'a, D, R> {
     /// format expects. Used by the run-start bootstrap flush (§4.3:
     /// "flushes the records to Streams 1 and 4").
     pub fn push_stream4_from_ascending(&mut self, records: &[R]) -> Result<()> {
+        debug_assert!(records.windows(2).all(|w| w[0] <= w[1]));
         for record in records.iter().rev() {
-            debug_assert!(self.s4_last.as_ref().is_none_or(|last| record <= last));
             self.stream4.push(record)?;
-            if self.s4_first.is_none() {
-                self.s4_first = Some(record.clone());
-            }
-            self.s4_last = Some(record.clone());
-            self.records += 1;
+            self.note(4, record);
         }
         Ok(())
     }
@@ -146,14 +149,10 @@ impl<'a, D: Device, R: SortableRecord> RunStreams<'a, D, R> {
     /// Appends a batch of ascending records to stream 1. Used by the
     /// run-start bootstrap flush.
     pub fn push_stream1_ascending(&mut self, records: &[R]) -> Result<()> {
+        debug_assert!(records.windows(2).all(|w| w[0] <= w[1]));
         for record in records {
-            debug_assert!(self.s1_last.as_ref().is_none_or(|last| record >= last));
             self.stream1.push(record)?;
-            if self.s1_first.is_none() {
-                self.s1_first = Some(record.clone());
-            }
-            self.s1_last = Some(record.clone());
-            self.records += 1;
+            self.note(1, record);
         }
         Ok(())
     }
@@ -161,14 +160,10 @@ impl<'a, D: Device, R: SortableRecord> RunStreams<'a, D, R> {
     /// Appends a batch of ascending records to stream 3 (the victim
     /// buffer's lower, increasing stream).
     pub fn push_stream3_ascending(&mut self, records: &[R]) -> Result<()> {
+        debug_assert!(records.windows(2).all(|w| w[0] <= w[1]));
         for record in records {
-            debug_assert!(self.s3_last.as_ref().is_none_or(|last| record >= last));
             self.stream3.push(record)?;
-            if self.s3_first.is_none() {
-                self.s3_first = Some(record.clone());
-            }
-            self.s3_last = Some(record.clone());
-            self.records += 1;
+            self.note(3, record);
         }
         Ok(())
     }
@@ -177,51 +172,18 @@ impl<'a, D: Device, R: SortableRecord> RunStreams<'a, D, R> {
     /// decreasing stream). `records` must be sorted ascending; they are
     /// written in descending order as the reverse-file format expects.
     pub fn push_stream2_from_ascending(&mut self, records: &[R]) -> Result<()> {
+        debug_assert!(records.windows(2).all(|w| w[0] <= w[1]));
         for record in records.iter().rev() {
-            debug_assert!(self.s2_last.as_ref().is_none_or(|last| record <= last));
             self.stream2.push(record)?;
-            if self.s2_first.is_none() {
-                self.s2_first = Some(record.clone());
-            }
-            self.s2_last = Some(record.clone());
-            self.records += 1;
+            self.note(2, record);
         }
         Ok(())
-    }
-
-    /// Debug snapshot of the stream boundary records (keys only), used by
-    /// temporary diagnostics.
-    pub fn debug_bounds(&self) -> String {
-        fn k<R: SortableRecord>(r: &Option<R>) -> String {
-            r.as_ref()
-                .map(|x| x.sort_key().to_string())
-                .unwrap_or_else(|| "-".into())
-        }
-        format!(
-            "s1[{},{}] s2[{},{}] s3[{},{}] s4[{},{}]",
-            k(&self.s1_first),
-            k(&self.s1_last),
-            k(&self.s2_first),
-            k(&self.s2_last),
-            k(&self.s3_first),
-            k(&self.s3_last),
-            k(&self.s4_first),
-            k(&self.s4_last)
-        )
     }
 
     /// The first record output in the current run through any stream, used
     /// by the *MinDistance* output heuristic.
     pub fn first_output(&self) -> Option<&R> {
-        [
-            &self.s1_first,
-            &self.s2_first,
-            &self.s3_first,
-            &self.s4_first,
-        ]
-        .into_iter()
-        .filter_map(Option::as_ref)
-        .min()
+        self.firsts.iter().filter_map(Option::as_ref).min()
     }
 
     /// Closes the run: finishes every non-empty stream file and, when the

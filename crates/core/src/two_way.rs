@@ -27,33 +27,21 @@
 use crate::config::TwrsConfig;
 use crate::heuristics::input::InputHeuristicState;
 use crate::heuristics::output::OutputHeuristicState;
-use crate::heuristics::{HeuristicContext, InputHeuristic};
+use crate::heuristics::{ContextNeeds, HeuristicContext};
 use crate::input_buffer::InputBuffer;
 use crate::streams::RunStreams;
 use crate::victim::VictimBuffer;
-use std::cmp::Ordering;
 use twrs_extsort::{
     BudgetedGenerator, Device, Result, RunGenerator, RunHandle, RunSet, ShardableGenerator,
     SortError,
 };
-use twrs_heaps::{DualHeap, HeapSide, RunRecord, TwoWayOrder};
+use twrs_heaps::{DualHeap, HeapSide, MinOrder, RunMaxOrder, RunRecord};
 use twrs_storage::{SortableRecord, SpillNamer};
 
-/// Ordering of run-tagged records inside the dual heap: both sides order by
-/// run first (so next-run records sink), then the top side ascending and the
-/// bottom side descending by record value.
-#[derive(Debug, Clone, Copy, Default)]
-struct RunOrder;
-
-impl<R: SortableRecord> TwoWayOrder<RunRecord<R>> for RunOrder {
-    fn cmp_top(&self, a: &RunRecord<R>, b: &RunRecord<R>) -> Ordering {
-        a.run.cmp(&b.run).then_with(|| a.value.cmp(&b.value))
-    }
-
-    fn cmp_bottom(&self, a: &RunRecord<R>, b: &RunRecord<R>) -> Ordering {
-        a.run.cmp(&b.run).then_with(|| b.value.cmp(&a.value))
-    }
-}
+/// The dual heap of run-tagged records: both sides order by run first (so
+/// next-run records sink), then the top side ascending and the bottom side
+/// descending by record value.
+type RunDualHeap<R> = DualHeap<RunRecord<R>, MinOrder, RunMaxOrder>;
 
 /// Statistics accumulated over one [`RunGenerator::generate`] call.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -164,7 +152,9 @@ struct Runner<'a, D: Device, R: SortableRecord> {
     namer: &'a SpillNamer,
     config: TwrsConfig,
 
-    dual: DualHeap<RunRecord<R>, RunOrder>,
+    dual: RunDualHeap<R>,
+    /// Reused at every run start to sort the records in memory.
+    repartition: Vec<R>,
     input_buffer: InputBuffer<R>,
     victim: VictimBuffer<R>,
     input_heuristic: InputHeuristicState,
@@ -186,7 +176,8 @@ impl<'a, D: Device, R: SortableRecord> Runner<'a, D, R> {
             device,
             namer,
             config,
-            dual: DualHeap::with_order(config.heap_records(), RunOrder),
+            dual: DualHeap::with_orders(config.heap_records(), MinOrder, RunMaxOrder),
+            repartition: Vec::with_capacity(config.heap_records()),
             input_buffer: InputBuffer::new(config.input_buffer_records()),
             victim: VictimBuffer::new(config.victim_buffer_records()),
             input_heuristic: InputHeuristicState::new(config.input_heuristic, config.seed),
@@ -206,13 +197,13 @@ impl<'a, D: Device, R: SortableRecord> Runner<'a, D, R> {
         while self.dual.len() < self.dual.capacity() {
             match self.input_buffer.next_from(input) {
                 Some(record) => {
-                    let side = self.choose_insert_side(&record);
-                    self.push_dual(side, RunRecord::new(record, 0))?;
+                    let (side, run) = self.place(&record);
+                    self.push_dual(side, RunRecord::new(record, run))?;
                 }
                 None => break,
             }
         }
-        self.start_run();
+        self.start_run()?;
 
         // Phase 2: main loop (Algorithm 2 lines 7–20).
         loop {
@@ -220,7 +211,7 @@ impl<'a, D: Device, R: SortableRecord> Runner<'a, D, R> {
                 OutputSide::Side(side) => side,
                 OutputSide::RunFinished => {
                     self.finalize_run()?;
-                    self.start_run();
+                    self.start_run()?;
                     continue;
                 }
                 OutputSide::Empty => break,
@@ -251,8 +242,7 @@ impl<'a, D: Device, R: SortableRecord> Runner<'a, D, R> {
                     }
                     pending = self.input_buffer.next_from(input);
                 } else {
-                    let side = self.choose_insert_side(&record);
-                    let run = self.classify_run(&record);
+                    let (side, run) = self.place(&record);
                     self.push_dual(side, RunRecord::new(record, run))?;
                     pending = None;
                 }
@@ -270,7 +260,7 @@ impl<'a, D: Device, R: SortableRecord> Runner<'a, D, R> {
     // Run lifecycle
     // ---------------------------------------------------------------------
 
-    fn start_run(&mut self) {
+    fn start_run(&mut self) -> Result<()> {
         self.streams = Some(RunStreams::new(
             self.device,
             self.namer,
@@ -279,8 +269,9 @@ impl<'a, D: Device, R: SortableRecord> Runner<'a, D, R> {
         self.victim.reset();
         self.bootstrap_done = !self.victim.is_enabled();
         self.first_output = None;
-        self.repartition_heaps();
+        self.repartition_heaps()?;
         self.dual.reset_pop_counters();
+        Ok(())
     }
 
     /// Re-partitions the records currently held in memory between the two
@@ -299,16 +290,18 @@ impl<'a, D: Device, R: SortableRecord> Runner<'a, D, R> {
     /// rebalancing the paper describes for the *Balancing* input heuristic
     /// (§4.2) and keeps the cross-stream ordering of the four streams intact
     /// for every heuristic.
-    fn repartition_heaps(&mut self) {
+    ///
+    /// Sorting the sample also builds the two heaps: the part below the
+    /// split, read backwards, is in BottomHeap pop order and the part above
+    /// it in TopHeap pop order, and a sequence in pop order is already a
+    /// valid heap, so both halves are installed as they are.
+    fn repartition_heaps(&mut self) -> Result<()> {
         if self.dual.len() < 2 {
-            return;
+            return Ok(());
         }
-        let mut records: Vec<R> = self
-            .dual
-            .drain()
-            .into_iter()
-            .map(RunRecord::into_value)
-            .collect();
+        let records = &mut self.repartition;
+        records.clear();
+        records.extend(self.dual.drain().map(RunRecord::into_value));
         records.sort_unstable();
         // Split at the largest key gap when the sample clearly falls into
         // two clusters separated by a void (mixed and alternating inputs at
@@ -318,7 +311,7 @@ impl<'a, D: Device, R: SortableRecord> Runner<'a, D, R> {
         let span = records[records.len() - 1]
             .sort_key()
             .saturating_sub(records[0].sort_key());
-        let gap_split = crate::victim::largest_gap_split(&records);
+        let gap_split = crate::victim::largest_gap_split(records);
         let split = if gap_split < records.len()
             && records[gap_split]
                 .sort_key()
@@ -329,17 +322,14 @@ impl<'a, D: Device, R: SortableRecord> Runner<'a, D, R> {
         } else {
             records.len() / 2
         };
-        for (i, record) in records.into_iter().enumerate() {
-            let side = if i < split {
-                HeapSide::Bottom
-            } else {
-                HeapSide::Top
-            };
-            self.dual
-                .push(side, RunRecord::new(record, self.current_run))
-                // twrs-lint: allow(no-lib-panic) the dual heap was drained above, so reinsertion cannot overflow
-                .expect("repartition reinserts into an empty dual heap");
-        }
+        let run = self.current_run;
+        let tag = |record| RunRecord::new(record, run);
+        self.dual
+            .refill_sorted(HeapSide::Bottom, records.drain(..split).rev().map(tag))
+            .map_err(|_| dual_heap_overflow())?;
+        self.dual
+            .refill_sorted(HeapSide::Top, records.drain(..).map(tag))
+            .map_err(|_| dual_heap_overflow())
     }
 
     fn finalize_run(&mut self) -> Result<()> {
@@ -388,7 +378,7 @@ impl<'a, D: Device, R: SortableRecord> Runner<'a, D, R> {
                 }
             }
             (Some(true), Some(true)) => {
-                let ctx = self.context();
+                let ctx = self.context(self.config.output_heuristic.needs());
                 OutputSide::Side(self.output_heuristic.choose(&ctx))
             }
             (Some(true), _) => OutputSide::Side(HeapSide::Top),
@@ -419,60 +409,35 @@ impl<'a, D: Device, R: SortableRecord> Runner<'a, D, R> {
         }
         // twrs-lint: allow(no-lib-panic) `streams` is Some from run start until finalize
         let streams = self.streams.as_mut().expect("streams exist inside a run");
-        let (native_fits, cross_fits) = match side {
-            HeapSide::Top => (
-                streams.accepts_stream1(&record),
-                streams.accepts_stream4(&record),
-            ),
-            HeapSide::Bottom => (
-                streams.accepts_stream4(&record),
-                streams.accepts_stream1(&record),
-            ),
-        };
-        if native_fits {
-            match side {
-                HeapSide::Top => {
-                    streams.push_stream1(record)?;
-                    self.stats.stream1_records += 1;
-                }
-                HeapSide::Bottom => {
-                    streams.push_stream4(record)?;
-                    self.stats.stream4_records += 1;
-                }
-            }
-            return Ok(EmitOutcome::Emitted);
-        }
-        if self.victim.fits(&record) {
+        // A record extends its own heap's stream when it can; otherwise the
+        // victim buffer may take it, or else the opposite heap's stream
+        // (e.g. the first records popped right after the bootstrap flush).
+        let target = if streams.accepts_heap(side, &record) {
+            side
+        } else if self.victim.fits(&record) {
             self.victim.push(record);
             self.stats.victim_records += 1;
             if self.victim.is_full() {
                 self.flush_victim()?;
             }
             return Ok(EmitOutcome::Emitted);
-        }
-        if cross_fits {
-            // The record cannot extend its own heap's stream but slots into
-            // the opposite one (e.g. the first records popped right after
-            // the bootstrap flush).
-            match side {
-                HeapSide::Top => {
-                    streams.push_stream4(record)?;
-                    self.stats.stream4_records += 1;
-                }
-                HeapSide::Bottom => {
-                    streams.push_stream1(record)?;
-                    self.stats.stream1_records += 1;
-                }
-            }
+        } else if streams.accepts_heap(side.opposite(), &record) {
             self.stats.cross_emitted_records += 1;
-            return Ok(EmitOutcome::Emitted);
+            side.opposite()
+        } else {
+            // Nothing in the current run can take the record: defer it,
+            // exactly as RS defers records that arrive too late.
+            let (insert_side, _) = self.place(&record);
+            self.push_dual(insert_side, RunRecord::new(record, self.current_run + 1))?;
+            self.stats.deferred_records += 1;
+            return Ok(EmitOutcome::Deferred);
+        };
+        streams.push_heap(target, record)?;
+        match target {
+            HeapSide::Top => self.stats.stream1_records += 1,
+            HeapSide::Bottom => self.stats.stream4_records += 1,
         }
-        // Nothing in the current run can take the record: defer it, exactly
-        // as RS defers records that arrive too late.
-        let insert_side = self.choose_insert_side(&record);
-        self.push_dual(insert_side, RunRecord::new(record, self.current_run + 1))?;
-        self.stats.deferred_records += 1;
-        Ok(EmitOutcome::Deferred)
+        Ok(EmitOutcome::Emitted)
     }
 
     fn flush_bootstrap(&mut self) -> Result<()> {
@@ -507,87 +472,95 @@ impl<'a, D: Device, R: SortableRecord> Runner<'a, D, R> {
     // Insertion
     // ---------------------------------------------------------------------
 
-    /// Which run a new input record belongs to: the current run when some
-    /// stream of the current run could still accept it, the next run
-    /// otherwise.
-    fn classify_run(&self, record: &R) -> u64 {
-        if !self.bootstrap_done {
-            // Anything output during the bootstrap lands in the victim
-            // buffer, so every record is still usable in the current run.
-            return self.current_run;
-        }
-        // twrs-lint: allow(no-lib-panic) `streams` is Some from run start until finalize
-        let streams = self.streams.as_ref().expect("streams exist inside a run");
-        if streams.accepts_stream1(record) || streams.accepts_stream4(record) {
-            self.current_run
-        } else {
-            self.current_run + 1
-        }
-    }
-
-    /// Which heap stores a new record. The heuristic only gets a say when
-    /// the record could be emitted by either heap; otherwise the heap that
-    /// can still emit it wins.
-    fn choose_insert_side(&mut self, record: &R) -> HeapSide {
-        let (can_top, can_bottom) = match self.streams.as_ref() {
-            None => (true, true),
+    /// Where a new record goes: the heap that stores it and the run it
+    /// belongs to. Stream acceptance is checked once and decides both. The
+    /// record belongs to the current run when some stream of the run could
+    /// still accept it, and to the next run otherwise. The input heuristic
+    /// only gets a say when the record could be emitted by either heap;
+    /// otherwise the heap that can still emit it wins.
+    fn place(&mut self, record: &R) -> (HeapSide, u64) {
+        let current = self.current_run;
+        let (can_top, can_bottom, run) = match self.streams.as_ref() {
+            None => (true, true, current),
             Some(_) if !self.bootstrap_done => {
-                // No stream boundary exists yet, but a record that outranks a
-                // heap's root would be popped straight into the bootstrap
-                // victim buffer and widen the run's valid range around a
-                // stray value; keep such records on the side whose output
-                // order they follow.
-                let ctx = self.context();
-                let above_top_root = ctx.top_root.is_none_or(|root| record.sort_key() >= root);
-                let below_bottom_root =
-                    ctx.bottom_root.is_none_or(|root| record.sort_key() <= root);
+                // Anything output during the bootstrap lands in the victim
+                // buffer, so every record is still usable in the current
+                // run. No stream boundary exists yet, but a record that
+                // outranks a heap's root would be popped straight into the
+                // bootstrap victim buffer and widen the run's valid range
+                // around a stray value; keep such records on the side whose
+                // output order they follow.
+                let key = record.sort_key();
+                let above_top_root = self
+                    .dual
+                    .peek(HeapSide::Top)
+                    .is_none_or(|root| key >= root.value.sort_key());
+                let below_bottom_root = self
+                    .dual
+                    .peek(HeapSide::Bottom)
+                    .is_none_or(|root| key <= root.value.sort_key());
                 if above_top_root || below_bottom_root {
-                    (above_top_root, below_bottom_root)
+                    (above_top_root, below_bottom_root, current)
                 } else {
-                    (true, true)
+                    (true, true, current)
                 }
             }
-            Some(streams) => (
-                streams.accepts_stream1(record),
-                streams.accepts_stream4(record),
-            ),
+            Some(streams) => {
+                let stream1 = streams.accepts_stream1(record);
+                let stream4 = streams.accepts_stream4(record);
+                let run = if stream1 || stream4 {
+                    current
+                } else {
+                    current + 1
+                };
+                (stream1, stream4, run)
+            }
         };
-        match (can_top, can_bottom) {
+        let side = match (can_top, can_bottom) {
             (true, false) => HeapSide::Top,
             (false, true) => HeapSide::Bottom,
             _ => {
-                let ctx = self.context();
+                let ctx = self.context(self.config.input_heuristic.needs());
                 self.input_heuristic.choose(record, &ctx)
             }
-        }
+        };
+        (side, run)
     }
 
     fn push_dual(&mut self, side: HeapSide, record: RunRecord<R>) -> Result<()> {
-        self.dual.push(side, record).map_err(|_| {
-            SortError::InvalidConfig(
-                "internal error: dual heap overflow during two-way replacement selection".into(),
-            )
-        })
+        self.dual
+            .push(side, record)
+            .map_err(|_| dual_heap_overflow())
     }
 
-    fn context(&self) -> HeuristicContext {
-        let need_median = self.config.input_heuristic == InputHeuristic::Median;
-        HeuristicContext {
-            top_len: self.dual.len_of(HeapSide::Top),
-            bottom_len: self.dual.len_of(HeapSide::Bottom),
-            top_pops: self.dual.pops_from(HeapSide::Top),
-            bottom_pops: self.dual.pops_from(HeapSide::Bottom),
-            input_mean: self.input_buffer.mean_key(),
-            input_median: if need_median {
-                self.input_buffer.median_key()
-            } else {
-                None
-            },
-            first_output: self.first_output.as_ref().map(SortableRecord::sort_key),
-            top_root: self.dual.peek(HeapSide::Top).map(|r| r.value.sort_key()),
-            bottom_root: self.dual.peek(HeapSide::Bottom).map(|r| r.value.sort_key()),
+    /// The heuristic context with only the fields in `needs` filled in.
+    fn context(&self, needs: ContextNeeds) -> HeuristicContext {
+        let mut ctx = HeuristicContext::default();
+        if needs.sizes {
+            ctx.top_len = self.dual.len_of(HeapSide::Top);
+            ctx.bottom_len = self.dual.len_of(HeapSide::Bottom);
+            ctx.top_pops = self.dual.pops_from(HeapSide::Top);
+            ctx.bottom_pops = self.dual.pops_from(HeapSide::Bottom);
         }
+        if needs.input_mean {
+            ctx.input_mean = self.input_buffer.mean_key();
+        }
+        if needs.input_median {
+            ctx.input_median = self.input_buffer.median_key();
+        }
+        if needs.keys {
+            ctx.first_output = self.first_output.as_ref().map(SortableRecord::sort_key);
+            ctx.top_root = self.dual.peek(HeapSide::Top).map(|r| r.value.sort_key());
+            ctx.bottom_root = self.dual.peek(HeapSide::Bottom).map(|r| r.value.sort_key());
+        }
+        ctx
     }
+}
+
+fn dual_heap_overflow() -> SortError {
+    SortError::InvalidConfig(
+        "internal error: dual heap overflow during two-way replacement selection".into(),
+    )
 }
 
 enum OutputSide {
@@ -604,6 +577,7 @@ mod tests {
     use super::*;
     use crate::config::BufferSetup;
     use crate::heuristics::output::OutputHeuristic;
+    use crate::heuristics::InputHeuristic;
     use twrs_extsort::RunCursor;
     use twrs_storage::ModelId;
     use twrs_storage::SimDevice;

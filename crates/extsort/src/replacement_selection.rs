@@ -17,7 +17,7 @@
 use crate::error::{Result, SortError};
 use crate::parallel::{shard_budget, ShardableGenerator};
 use crate::run_generation::{Device, ForwardRunBuilder, RunGenerator, RunSet};
-use twrs_heaps::{BinaryHeap, HeapKind, RunRecord};
+use twrs_heaps::{BinaryHeap, MinOrder, RunRecord};
 use twrs_storage::{SortableRecord, SpillNamer};
 
 /// Classic replacement selection run generation.
@@ -65,47 +65,44 @@ impl RunGenerator for ReplacementSelection {
                 "replacement selection needs a heap of at least one record".into(),
             ));
         }
-        let mut heap: BinaryHeap<RunRecord<R>> =
-            BinaryHeap::with_capacity(HeapKind::Min, self.memory_records);
-
         // Phase 1: fill the heap (heap.fill in Algorithm 1). No record needs
         // a next-run mark because nothing has been output yet.
-        while heap.len() < self.memory_records {
-            match input.next() {
-                Some(record) => heap
-                    .push(RunRecord::new(record, 0))
-                    // twrs-lint: allow(no-lib-panic) the fill loop stops at `memory_records` capacity
-                    .expect("heap cannot be full during the fill phase"),
-                None => break,
-            }
-        }
+        let mut initial = Vec::with_capacity(self.memory_records);
+        initial.extend(
+            (&mut *input)
+                .take(self.memory_records)
+                .map(|record| RunRecord::new(record, 0)),
+        );
+        let mut heap = BinaryHeap::from_vec(MinOrder, initial);
 
         let mut runs = Vec::new();
         let mut total = 0u64;
         let mut current_run = 0u64;
         let mut builder = ForwardRunBuilder::new(device, namer);
 
-        while let Some(top) = heap.pop() {
+        // Phase 2: the top record leaves for the run and the next input
+        // record takes its place in one sift, marked for the next run when
+        // it can no longer join the current one.
+        while let Some(top) = heap.peek() {
             // Did the top record open the next run?
             if top.run > current_run {
                 total += builder.finish_run(&mut runs)?;
                 builder = ForwardRunBuilder::new(device, namer);
                 current_run = top.run;
             }
-            let output = top.value;
-            builder.push(&output)?;
-
-            // Read the next input record and insert it, marking it for the
-            // next run when it can no longer join the current one.
-            if let Some(next) = input.next() {
-                let run = if next < output {
-                    current_run + 1
-                } else {
-                    current_run
-                };
-                heap.push(RunRecord::new(next, run))
-                    // twrs-lint: allow(no-lib-panic) `pop` freed a slot immediately above
-                    .expect("a slot was just freed by pop");
+            builder.push(&top.value)?;
+            match input.next() {
+                Some(next) => {
+                    let run = if next < top.value {
+                        current_run + 1
+                    } else {
+                        current_run
+                    };
+                    heap.replace_top(RunRecord::new(next, run));
+                }
+                None => {
+                    heap.pop();
+                }
             }
         }
         total += builder.finish_run(&mut runs)?;

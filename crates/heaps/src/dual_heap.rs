@@ -2,20 +2,25 @@
 //!
 //! 2WRS keeps two heaps in memory: the **TopHeap**, a min-heap whose pops
 //! form an increasing stream, and the **BottomHeap**, a max-heap whose pops
-//! form a decreasing stream. Because the share of memory each heap needs
-//! changes with the input, the paper stores both in a *single fixed array*:
-//! the TopHeap grows from one end with increasing indexes and the BottomHeap
-//! from the other end with decreasing indexes (Figure 4.3), so either heap
-//! can grow exactly when the other shrinks and no dynamic allocation is ever
-//! required during run generation.
+//! form a decreasing stream. The share of memory each heap needs changes
+//! with the input, so the paper stores both in a *single fixed array* that
+//! they fill from opposite ends (Figure 4.3): either heap can grow exactly
+//! when the other shrinks, and nothing is allocated during run generation.
 //!
-//! [`DualHeap`] reproduces that layout. Both sides are implemented as
-//! min-heaps under a side-specific ordering supplied by a [`TwoWayOrder`]
-//! (the natural choice, [`NaturalOrder`], makes the bottom side a max-heap
-//! over `T: Ord`); 2WRS itself supplies a run-aware ordering so next-run
-//! records sink in both heaps.
+//! [`DualHeap`] keeps that contract with a *shared capacity count* instead
+//! of a shared array. Each side is a plain [`BinaryHeap`] that reserves the
+//! full capacity up front, and a push on either side is refused once the
+//! two sizes together reach the capacity. So a side still grows only at the
+//! other's expense (Figures 4.4 and 4.5), no allocation happens after
+//! construction, and both sides run the crate's one monomorphized sift with
+//! no per-comparison side dispatch. The price is a second reserved array:
+//! `2 × capacity` slots of memory for `capacity` records.
+//!
+//! The side orders are type parameters: [`MinOrder`] and [`MaxOrder`] by
+//! default; 2WRS pairs [`MinOrder`] with [`RunMaxOrder`](crate::RunMaxOrder)
+//! so next-run records sink in both heaps.
 
-use std::cmp::Ordering;
+use crate::binary_heap::{BinaryHeap, HeapOrder, MaxOrder, MinOrder};
 use std::fmt;
 
 /// Identifies one of the two heaps stored in a [`DualHeap`].
@@ -38,40 +43,8 @@ impl HeapSide {
     }
 }
 
-/// Orderings for the two sides of a [`DualHeap`].
-///
-/// Both sides behave as min-heaps under their respective comparison: the
-/// element that compares `Less` is closer to the root and is popped first.
-/// For the bottom (decreasing-output) side the comparison is therefore
-/// usually the *reverse* of the natural order.
-pub trait TwoWayOrder<T> {
-    /// Ordering used by the top heap; its root is the minimum under this
-    /// comparison.
-    fn cmp_top(&self, a: &T, b: &T) -> Ordering;
-
-    /// Ordering used by the bottom heap; its root is the minimum under this
-    /// comparison (i.e. the record to emit next in the decreasing stream).
-    fn cmp_bottom(&self, a: &T, b: &T) -> Ordering;
-}
-
-/// The default [`TwoWayOrder`]: the top heap is a min-heap over `T: Ord`
-/// and the bottom heap a max-heap over the same order.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NaturalOrder;
-
-impl<T: Ord> TwoWayOrder<T> for NaturalOrder {
-    #[inline]
-    fn cmp_top(&self, a: &T, b: &T) -> Ordering {
-        a.cmp(b)
-    }
-
-    #[inline]
-    fn cmp_bottom(&self, a: &T, b: &T) -> Ordering {
-        b.cmp(a)
-    }
-}
-
-/// Two heaps sharing one fixed-capacity array, growing toward each other.
+/// Two heaps sharing one capacity: the TopHeap under order `TO`, the
+/// BottomHeap under order `BO`.
 ///
 /// # Examples
 ///
@@ -90,16 +63,12 @@ impl<T: Ord> TwoWayOrder<T> for NaturalOrder {
 /// assert_eq!(dual.pop(HeapSide::Bottom), Some(40));
 /// assert_eq!(dual.pop(HeapSide::Top), Some(50));
 /// ```
-pub struct DualHeap<T, O = NaturalOrder> {
-    /// The shared array. `slots[0..top_len]` is the TopHeap in standard
-    /// array layout; `slots[capacity - bottom_len..capacity]` is the
-    /// BottomHeap laid out from the back (its root lives at
-    /// `capacity - 1`).
-    slots: Vec<Option<T>>,
-    top_len: usize,
-    bottom_len: usize,
-    order: O,
-    /// Cumulative pops per side, used by the Useful heuristics.
+pub struct DualHeap<T, TO = MinOrder, BO = MaxOrder> {
+    top: BinaryHeap<T, TO>,
+    bottom: BinaryHeap<T, BO>,
+    /// Records the two sides may hold together.
+    capacity: usize,
+    /// Cumulative pops per side (top, bottom), used by the Useful heuristics.
     pops: [u64; 2],
 }
 
@@ -116,27 +85,23 @@ impl<T: fmt::Debug> fmt::Display for DualHeapFull<T> {
 
 impl<T: fmt::Debug> std::error::Error for DualHeapFull<T> {}
 
-impl<T> DualHeap<T, NaturalOrder>
-where
-    T: Ord,
-{
-    /// Creates a dual heap with the natural ordering and the given total
-    /// capacity shared by both sides.
+impl<T: Ord> DualHeap<T> {
+    /// Creates a dual heap with the natural orders (a min-heap on top, a
+    /// max-heap at the bottom) and the given total capacity shared by both
+    /// sides.
     pub fn new(capacity: usize) -> Self {
-        Self::with_order(capacity, NaturalOrder)
+        Self::with_orders(capacity, MinOrder, MaxOrder)
     }
 }
 
-impl<T, O: TwoWayOrder<T>> DualHeap<T, O> {
-    /// Creates a dual heap with a custom two-way ordering.
-    pub fn with_order(capacity: usize, order: O) -> Self {
-        let mut slots = Vec::with_capacity(capacity);
-        slots.resize_with(capacity, || None);
+impl<T, TO: HeapOrder<T>, BO: HeapOrder<T>> DualHeap<T, TO, BO> {
+    /// Creates a dual heap with custom side orders. Both sides reserve the
+    /// whole `capacity` now, so no push ever allocates.
+    pub fn with_orders(capacity: usize, top: TO, bottom: BO) -> Self {
         DualHeap {
-            slots,
-            top_len: 0,
-            bottom_len: 0,
-            order,
+            top: BinaryHeap::with_capacity(top, capacity),
+            bottom: BinaryHeap::with_capacity(bottom, capacity),
+            capacity,
             pops: [0, 0],
         }
     }
@@ -144,22 +109,22 @@ impl<T, O: TwoWayOrder<T>> DualHeap<T, O> {
     /// Total capacity shared by the two heaps.
     #[inline]
     pub fn capacity(&self) -> usize {
-        self.slots.len()
+        self.capacity
     }
 
     /// Number of records currently stored on `side`.
     #[inline]
     pub fn len_of(&self, side: HeapSide) -> usize {
         match side {
-            HeapSide::Top => self.top_len,
-            HeapSide::Bottom => self.bottom_len,
+            HeapSide::Top => self.top.len(),
+            HeapSide::Bottom => self.bottom.len(),
         }
     }
 
     /// Total number of records stored across both heaps.
     #[inline]
     pub fn len(&self) -> usize {
-        self.top_len + self.bottom_len
+        self.top.len() + self.bottom.len()
     }
 
     /// `true` when both heaps are empty.
@@ -168,16 +133,16 @@ impl<T, O: TwoWayOrder<T>> DualHeap<T, O> {
         self.len() == 0
     }
 
-    /// `true` when the shared array is full.
+    /// `true` when the shared capacity is used up.
     #[inline]
     pub fn is_full(&self) -> bool {
-        self.len() >= self.capacity()
+        self.len() >= self.capacity
     }
 
-    /// Free slots remaining in the shared array.
+    /// Free capacity remaining for either side.
     #[inline]
     pub fn free(&self) -> usize {
-        self.capacity() - self.len()
+        self.capacity - self.len()
     }
 
     /// Number of records popped from `side` since construction (or the last
@@ -186,7 +151,7 @@ impl<T, O: TwoWayOrder<T>> DualHeap<T, O> {
     /// divided by size (§4.2).
     #[inline]
     pub fn pops_from(&self, side: HeapSide) -> u64 {
-        self.pops[side_index(side)]
+        self.pops[side as usize]
     }
 
     /// Resets the per-side pop counters (used at run boundaries).
@@ -195,210 +160,102 @@ impl<T, O: TwoWayOrder<T>> DualHeap<T, O> {
     }
 
     /// Returns a reference to the root record of `side` without removing it.
+    #[inline]
     pub fn peek(&self, side: HeapSide) -> Option<&T> {
         match side {
-            HeapSide::Top => {
-                if self.top_len == 0 {
-                    None
-                } else {
-                    self.slots[0].as_ref()
-                }
-            }
-            HeapSide::Bottom => {
-                if self.bottom_len == 0 {
-                    None
-                } else {
-                    self.slots[self.capacity() - 1].as_ref()
-                }
-            }
+            HeapSide::Top => self.top.peek(),
+            HeapSide::Bottom => self.bottom.peek(),
         }
     }
 
     /// Pushes a record onto `side`.
     ///
-    /// Fails with [`DualHeapFull`] when the *shared* array is full, i.e. the
-    /// combined size of both heaps has reached the capacity, regardless of
-    /// which side the record was destined for.
+    /// Fails with [`DualHeapFull`] when the *shared* capacity is used up,
+    /// i.e. the combined size of both heaps has reached the capacity,
+    /// regardless of which side the record was destined for.
     pub fn push(&mut self, side: HeapSide, value: T) -> Result<(), DualHeapFull<T>> {
         if self.is_full() {
             return Err(DualHeapFull(value));
         }
         match side {
-            HeapSide::Top => {
-                let idx = self.top_len;
-                self.slots[idx] = Some(value);
-                self.top_len += 1;
-                self.upheap(HeapSide::Top, idx);
-            }
-            HeapSide::Bottom => {
-                let idx = self.bottom_len;
-                let slot = self.bottom_slot(idx);
-                self.slots[slot] = Some(value);
-                self.bottom_len += 1;
-                self.upheap(HeapSide::Bottom, idx);
-            }
+            HeapSide::Top => self.top.push(value),
+            HeapSide::Bottom => self.bottom.push(value),
         }
-        Ok(())
+        .map_err(|(_, value)| DualHeapFull(value))
     }
 
     /// Pops the root record of `side`, shrinking that heap by one and
-    /// freeing a slot either heap may subsequently use (Figure 4.4).
+    /// freeing capacity either heap may subsequently use (Figure 4.4).
     pub fn pop(&mut self, side: HeapSide) -> Option<T> {
-        let len = self.len_of(side);
-        if len == 0 {
-            return None;
-        }
-        self.pops[side_index(side)] += 1;
-        let root_slot = self.heap_slot(side, 0);
-        let last_slot = self.heap_slot(side, len - 1);
-        self.slots.swap(root_slot, last_slot);
-        let value = self.slots[last_slot].take();
-        match side {
-            HeapSide::Top => self.top_len -= 1,
-            HeapSide::Bottom => self.bottom_len -= 1,
-        }
-        if self.len_of(side) > 1 {
-            self.downheap(side, 0);
-        }
-        value
+        let value = match side {
+            HeapSide::Top => self.top.pop(),
+            HeapSide::Bottom => self.bottom.pop(),
+        }?;
+        self.pops[side as usize] += 1;
+        Some(value)
     }
 
-    /// Drains every record from both heaps in unspecified order.
-    pub fn drain(&mut self) -> Vec<T> {
-        let mut out = Vec::with_capacity(self.len());
-        for slot in self.slots.iter_mut() {
-            if let Some(v) = slot.take() {
-                out.push(v);
-            }
+    /// Replaces the contents of `side` with `sorted`, which must already be
+    /// in that side's pop order (see [`BinaryHeap::refill_sorted`]); no sift
+    /// runs. Fails without changing anything when the records would not fit
+    /// next to the other side's.
+    pub fn refill_sorted(
+        &mut self,
+        side: HeapSide,
+        sorted: impl ExactSizeIterator<Item = T>,
+    ) -> Result<(), DualHeapFull<()>> {
+        if sorted.len() > self.capacity - self.len_of(side.opposite()) {
+            return Err(DualHeapFull(()));
         }
-        self.top_len = 0;
-        self.bottom_len = 0;
-        out
+        match side {
+            HeapSide::Top => self.top.refill_sorted(sorted),
+            HeapSide::Bottom => self.bottom.refill_sorted(sorted),
+        }
+        .map_err(|_| DualHeapFull(()))
+    }
+
+    /// Drains every record from both heaps in unspecified order. Both sides
+    /// keep their reserved arrays.
+    pub fn drain(&mut self) -> impl Iterator<Item = T> + '_ {
+        self.top.drain().chain(self.bottom.drain())
     }
 
     /// Iterates over the records of `side` in unspecified (heap-array)
     /// order.
-    pub fn iter_side(&self, side: HeapSide) -> impl Iterator<Item = &T> + '_ {
-        let len = self.len_of(side);
-        (0..len).filter_map(move |i| self.slots[self.heap_slot(side, i)].as_ref())
-    }
-
-    /// Compare the records at logical positions `a` and `b` of `side`.
-    fn before(&self, side: HeapSide, a: usize, b: usize) -> bool {
-        let (sa, sb) = (self.heap_slot(side, a), self.heap_slot(side, b));
-        let (va, vb) = (
-            // twrs-lint: allow(no-lib-panic) `a < len(side)` so the slot is occupied
-            self.slots[sa].as_ref().expect("occupied heap slot"),
-            // twrs-lint: allow(no-lib-panic) `b < len(side)` so the slot is occupied
-            self.slots[sb].as_ref().expect("occupied heap slot"),
-        );
-        let ord = match side {
-            HeapSide::Top => self.order.cmp_top(va, vb),
-            HeapSide::Bottom => self.order.cmp_bottom(va, vb),
-        };
-        ord == Ordering::Less
-    }
-
-    /// Translate a logical heap index into a physical slot index.
-    #[inline]
-    fn heap_slot(&self, side: HeapSide, idx: usize) -> usize {
+    pub fn iter_side(&self, side: HeapSide) -> std::slice::Iter<'_, T> {
         match side {
-            HeapSide::Top => idx,
-            HeapSide::Bottom => self.bottom_slot(idx),
+            HeapSide::Top => self.top.iter(),
+            HeapSide::Bottom => self.bottom.iter(),
         }
     }
 
-    /// Physical slot of the bottom heap's logical index `idx`: the bottom
-    /// heap is laid out from the end of the array towards the front.
-    #[inline]
-    fn bottom_slot(&self, idx: usize) -> usize {
-        self.capacity() - 1 - idx
-    }
-
-    fn swap_logical(&mut self, side: HeapSide, a: usize, b: usize) {
-        let (sa, sb) = (self.heap_slot(side, a), self.heap_slot(side, b));
-        self.slots.swap(sa, sb);
-    }
-
-    fn upheap(&mut self, side: HeapSide, mut idx: usize) {
-        while idx > 0 {
-            let parent = (idx - 1) / 2;
-            if self.before(side, idx, parent) {
-                self.swap_logical(side, idx, parent);
-                idx = parent;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn downheap(&mut self, side: HeapSide, mut idx: usize) {
-        let len = self.len_of(side);
-        loop {
-            let left = 2 * idx + 1;
-            let right = 2 * idx + 2;
-            let mut best = idx;
-            if left < len && self.before(side, left, best) {
-                best = left;
-            }
-            if right < len && self.before(side, right, best) {
-                best = right;
-            }
-            if best == idx {
-                break;
-            }
-            self.swap_logical(side, idx, best);
-            idx = best;
-        }
-    }
-
-    /// Validates both heap properties and the disjointness of the two
-    /// regions. Returns a description of the first violation found, or
-    /// `None` when the structure is consistent. Intended for tests.
+    /// Validates the shared capacity and both heap properties. Returns a
+    /// description of the first violation found, or `None` when the
+    /// structure is consistent. Intended for tests.
     pub fn debug_validate(&self) -> Option<String> {
-        if self.top_len + self.bottom_len > self.capacity() {
+        if self.len() > self.capacity {
             return Some(format!(
-                "overlap: top_len={} bottom_len={} capacity={}",
-                self.top_len,
-                self.bottom_len,
-                self.capacity()
+                "overflow: top_len={} bottom_len={} capacity={}",
+                self.top.len(),
+                self.bottom.len(),
+                self.capacity
             ));
         }
-        for (i, slot) in self.slots.iter().enumerate() {
-            let in_top = i < self.top_len;
-            let in_bottom = i >= self.capacity() - self.bottom_len;
-            match (slot.is_some(), in_top || in_bottom) {
-                (true, false) => return Some(format!("slot {i} occupied but outside both heaps")),
-                (false, true) => return Some(format!("slot {i} empty but inside a heap")),
-                _ => {}
-            }
+        if let Some(i) = self.top.debug_validate() {
+            return Some(format!("heap property violated on Top at index {i}"));
         }
-        for side in [HeapSide::Top, HeapSide::Bottom] {
-            for i in 1..self.len_of(side) {
-                let parent = (i - 1) / 2;
-                if self.before(side, i, parent) {
-                    return Some(format!("heap property violated on {side:?} at index {i}"));
-                }
-            }
-        }
-        None
+        self.bottom
+            .debug_validate()
+            .map(|i| format!("heap property violated on Bottom at index {i}"))
     }
 }
 
-#[inline]
-fn side_index(side: HeapSide) -> usize {
-    match side {
-        HeapSide::Top => 0,
-        HeapSide::Bottom => 1,
-    }
-}
-
-impl<T: fmt::Debug, O> fmt::Debug for DualHeap<T, O> {
+impl<T, TO: HeapOrder<T>, BO: HeapOrder<T>> fmt::Debug for DualHeap<T, TO, BO> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("DualHeap")
-            .field("capacity", &self.slots.len())
-            .field("top_len", &self.top_len)
-            .field("bottom_len", &self.bottom_len)
+            .field("capacity", &self.capacity)
+            .field("top_len", &self.top.len())
+            .field("bottom_len", &self.bottom.len())
             .finish()
     }
 }
@@ -517,7 +374,7 @@ mod tests {
     #[test]
     fn drain_empties_both_sides() {
         let mut dual = paper_figure_4_3();
-        let all = dual.drain();
+        let all: Vec<u32> = dual.drain().collect();
         assert_eq!(all.len(), 14);
         assert!(dual.is_empty());
         assert_eq!(dual.debug_validate(), None);
@@ -535,24 +392,42 @@ mod tests {
 
     #[test]
     fn custom_order_is_respected() {
-        /// Orders both sides by the value modulo 10.
+        /// Orders by the value modulo 10, smallest residue first.
         struct Mod10;
-        impl TwoWayOrder<u32> for Mod10 {
-            fn cmp_top(&self, a: &u32, b: &u32) -> Ordering {
-                (a % 10).cmp(&(b % 10))
-            }
-            fn cmp_bottom(&self, a: &u32, b: &u32) -> Ordering {
-                (b % 10).cmp(&(a % 10))
+        impl HeapOrder<u32> for Mod10 {
+            fn before(&self, a: &u32, b: &u32) -> bool {
+                a % 10 < b % 10
             }
         }
-        let mut dual = DualHeap::with_order(8, Mod10);
+        let mut dual = DualHeap::with_orders(8, Mod10, MaxOrder);
         for v in [21, 13, 47, 95] {
             dual.push(HeapSide::Top, v).unwrap();
+            dual.push(HeapSide::Bottom, v).unwrap();
         }
-        assert_eq!(dual.pop(HeapSide::Top), Some(21));
-        assert_eq!(dual.pop(HeapSide::Top), Some(13));
-        assert_eq!(dual.pop(HeapSide::Top), Some(95));
-        assert_eq!(dual.pop(HeapSide::Top), Some(47));
+        assert!(dual.is_full());
+        let top: Vec<u32> = std::iter::from_fn(|| dual.pop(HeapSide::Top)).collect();
+        assert_eq!(top, vec![21, 13, 95, 47]);
+        assert_eq!(dual.pop(HeapSide::Bottom), Some(95));
+    }
+
+    #[test]
+    fn refill_sorted_installs_both_sides_without_sifting() {
+        let mut dual: DualHeap<u32> = DualHeap::new(6);
+        dual.push(HeapSide::Top, 99).unwrap();
+        dual.refill_sorted(HeapSide::Bottom, [30, 20, 10].into_iter())
+            .unwrap();
+        // Only two slots remain next to the three bottom records and the
+        // top side's old record is replaced, not kept.
+        assert_eq!(
+            dual.refill_sorted(HeapSide::Top, [40, 50, 60, 70].into_iter()),
+            Err(DualHeapFull(()))
+        );
+        dual.refill_sorted(HeapSide::Top, [40, 50, 60].into_iter())
+            .unwrap();
+        assert!(dual.is_full());
+        assert_eq!(dual.debug_validate(), None);
+        assert_eq!(dual.pop(HeapSide::Top), Some(40));
+        assert_eq!(dual.pop(HeapSide::Bottom), Some(30));
     }
 
     #[test]

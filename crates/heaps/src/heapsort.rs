@@ -7,7 +7,8 @@
 //! formulation (it doubles as an executable description of §3.2) and is used
 //! by the victim buffer and by tests as an independent sorting oracle.
 
-use crate::{BinaryHeap, HeapKind};
+use crate::sift::{sift_down_range, sift_down_to_bottom};
+use crate::{BinaryHeap, MinOrder};
 use std::cmp::Ordering;
 
 /// Sorts a slice ascending using heapsort with an auxiliary heap (§3.2).
@@ -36,38 +37,16 @@ where
         return;
     }
     // Build a max-heap (by `compare`) over the slice itself, then repeatedly
-    // move the root to the back of the shrinking heap region.
+    // move the root to the back of the shrinking heap region. The record
+    // swapped into the root comes from the bottom of the heap, so it sinks
+    // bottom-up.
+    let mut before = |a: &T, b: &T| compare(a, b) == Ordering::Greater;
     for i in (0..n / 2).rev() {
-        sift_down(slice, i, n, &mut compare);
+        sift_down_range(slice, i, n, &mut before);
     }
     for end in (1..n).rev() {
         slice.swap(0, end);
-        sift_down(slice, 0, end, &mut compare);
-    }
-}
-
-/// Sinks the record at `root` within `slice[..end]` so the max-heap property
-/// (under `compare`) holds again.
-fn sift_down<T, F>(slice: &mut [T], mut root: usize, end: usize, compare: &mut F)
-where
-    F: FnMut(&T, &T) -> Ordering,
-{
-    loop {
-        let left = 2 * root + 1;
-        if left >= end {
-            break;
-        }
-        let right = left + 1;
-        let mut child = left;
-        if right < end && compare(&slice[right], &slice[left]) == Ordering::Greater {
-            child = right;
-        }
-        if compare(&slice[child], &slice[root]) == Ordering::Greater {
-            slice.swap(root, child);
-            root = child;
-        } else {
-            break;
-        }
+        sift_down_to_bottom(slice, 0, end, &mut before);
     }
 }
 
@@ -78,7 +57,7 @@ where
 /// literal transcription of the paper's algorithm, and serves as an oracle in
 /// tests.
 pub fn heapsort_via_heap<T: Ord>(values: Vec<T>) -> Vec<T> {
-    let mut heap = BinaryHeap::from_vec(HeapKind::Min, values);
+    let mut heap = BinaryHeap::from_vec(MinOrder, values);
     heap.drain_sorted()
 }
 

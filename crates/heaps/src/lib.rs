@@ -4,23 +4,27 @@
 //! Replacement Selection"* (VLDB 2010):
 //!
 //! * [`BinaryHeap`] — a classic array-backed binary heap with explicit
-//!   `upheap`/`downheap` procedures (paper §3.1), parameterised over the
-//!   ordering so the same code serves as a min-heap (TopHeap) and a
-//!   max-heap (BottomHeap).
-//! * [`DualHeap`] — the paper's §4.1 structure: a TopHeap (min-heap) and a
-//!   BottomHeap (max-heap) stored in **one fixed array**, growing toward
-//!   each other so one heap can grow at the expense of the other without
-//!   dynamic allocation.
+//!   `upheap`/`downheap` procedures (paper §3.1), parameterised at compile
+//!   time over its [`HeapOrder`] so the same code serves as a min-heap
+//!   ([`MinOrder`], the TopHeap) and a max-heap ([`MaxOrder`], the
+//!   BottomHeap).
+//! * [`DualHeap`] — the paper's §4.1 structure: a TopHeap and a BottomHeap
+//!   that share **one fixed capacity**, so one heap can grow at the expense
+//!   of the other without allocating during run generation.
 //! * [`RunRecord`] — a record tagged with the run it belongs to; records
-//!   marked for the *next* run order after every record of the *current*
-//!   run (and symmetrically for the max heap), which is how both RS and
-//!   2WRS keep next-run records at the bottom of the heap (§3.3).
+//!   marked for the *next* run order after every record of the current
+//!   run in a min-heap, and [`RunMaxOrder`] does the same for the max heap,
+//!   which is how both RS and 2WRS keep next-run records at the bottom of
+//!   the heap (§3.3).
 //! * [`heapsort`](mod@heapsort) — the §3.2 internal sorting algorithm, used both as a
 //!   pedagogical baseline and as the victim-buffer sorter fallback.
 //!
-//! The heaps are deliberately simple, allocation-free after construction and
-//! fully safe; every operation is `O(log n)` and the structures expose
-//! `debug_validate` hooks used by the test-suite property tests.
+//! Every heap here shares one sift (the private `sift` module): it moves a
+//! hole instead of swapping, and sinks replaced roots bottom-up. Its three
+//! raw copies are the crate's only `unsafe` code. The
+//! structures are allocation-free after construction, every operation is
+//! `O(log n)`, and each exposes a `debug_validate` hook used by the
+//! property tests.
 //!
 //! Everything here is generic over any `Ord` payload: the sort pipeline
 //! instantiates these structures with `RunRecord<R>` for every
@@ -33,8 +37,9 @@ pub mod binary_heap;
 pub mod dual_heap;
 pub mod heapsort;
 pub mod run_record;
+mod sift;
 
-pub use binary_heap::{BinaryHeap, HeapKind};
-pub use dual_heap::{DualHeap, HeapSide, NaturalOrder, TwoWayOrder};
+pub use binary_heap::{BinaryHeap, HeapOrder, MaxOrder, MinOrder};
+pub use dual_heap::{DualHeap, HeapSide};
 pub use heapsort::{heapsort, heapsort_by};
-pub use run_record::RunRecord;
+pub use run_record::{RunMaxOrder, RunRecord};

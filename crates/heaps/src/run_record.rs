@@ -7,6 +7,7 @@
 //! exactly that: the run number is the major sort key, so the heap only
 //! surfaces next-run records once every current-run record has left.
 
+use crate::HeapOrder;
 use std::cmp::Ordering;
 
 /// A value tagged with the run number it has been assigned to.
@@ -58,6 +59,19 @@ impl<T: Ord> PartialOrd for RunRecord<T> {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
+
+    // The heaps compare with `<` and `>` only. Spelled with non-short-circuit
+    // `|` and `&`, neither branches on the run comparison, which is a coin
+    // flip wherever current-run and next-run records meet in a heap.
+    #[inline]
+    fn lt(&self, other: &Self) -> bool {
+        (self.run < other.run) | ((self.run == other.run) & (self.value < other.value))
+    }
+
+    #[inline]
+    fn gt(&self, other: &Self) -> bool {
+        other.lt(self)
+    }
 }
 
 impl<T: Ord> Ord for RunRecord<T> {
@@ -68,10 +82,43 @@ impl<T: Ord> Ord for RunRecord<T> {
     }
 }
 
+/// The BottomHeap order for run-tagged records: earlier runs first, and
+/// within a run the *largest* value first.
+///
+/// A plain [`MaxOrder`](crate::MaxOrder) over `RunRecord` would surface the
+/// *latest* run first; 2WRS needs next-run records to sink in the
+/// BottomHeap exactly as they do in the TopHeap (a
+/// [`MinOrder`](crate::MinOrder) heap of `RunRecord`s), so the run stays the
+/// major key in both directions.
+///
+/// # Examples
+///
+/// ```
+/// use twrs_heaps::{BinaryHeap, RunMaxOrder, RunRecord};
+///
+/// let mut bottom = BinaryHeap::with_capacity(RunMaxOrder, 4);
+/// bottom.push(RunRecord::new(10_u64, 0)).unwrap();
+/// bottom.push(RunRecord::new(90_u64, 1)).unwrap();
+/// bottom.push(RunRecord::new(40_u64, 0)).unwrap();
+/// assert_eq!(bottom.pop(), Some(RunRecord::new(40, 0)));
+/// assert_eq!(bottom.pop(), Some(RunRecord::new(10, 0)));
+/// assert_eq!(bottom.pop(), Some(RunRecord::new(90, 1)));
+/// ```
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
+pub struct RunMaxOrder;
+
+impl<T: Ord> HeapOrder<RunRecord<T>> for RunMaxOrder {
+    #[inline]
+    fn before(&self, a: &RunRecord<T>, b: &RunRecord<T>) -> bool {
+        // Branch-free on the run, as `RunRecord::lt` is.
+        (a.run < b.run) | ((a.run == b.run) & (a.value > b.value))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{BinaryHeap, HeapKind};
+    use crate::{BinaryHeap, MinOrder};
 
     #[test]
     fn run_is_the_major_key() {
@@ -93,7 +140,7 @@ mod tests {
 
     #[test]
     fn min_heap_surfaces_current_run_first() {
-        let mut heap = BinaryHeap::with_capacity(HeapKind::Min, 8);
+        let mut heap = BinaryHeap::with_capacity(MinOrder, 8);
         heap.push(RunRecord::new(40, 0)).unwrap();
         heap.push(RunRecord::new(5, 1)).unwrap();
         heap.push(RunRecord::new(60, 0)).unwrap();

@@ -37,6 +37,12 @@ pub trait FixedSizeRecord: Sized {
 /// produced sorted outputs are byte-identical), and be cheaply clonable and
 /// sendable across the parallel sorter's shard threads.
 ///
+/// Records that compare `Equal` may leave run generation in any order: the
+/// heaps' internal layout is not part of the contract, and a change to it
+/// may reorder such records within a run. With a total order, equal records
+/// are indistinguishable, so this never shows in the output; an `Ord` that
+/// ties distinct records gives up byte-identical outputs.
+///
 /// # The cached-key hook
 ///
 /// [`sort_key`](SortableRecord::sort_key) projects the record onto a `u64`

@@ -6,7 +6,7 @@
 //! crate, and hosts the repository-level examples and cross-crate
 //! integration tests.
 //!
-//! * [`heaps`] — binary heap, shared dual-heap array, heapsort.
+//! * [`heaps`] — binary heap, shared-capacity dual heap, heapsort.
 //! * [`storage`] — page devices (real and simulated), run files, the
 //!   Appendix A reverse-record file format, I/O accounting and the
 //!   [`SortableRecord`](storage::SortableRecord) trait every record type
